@@ -2,7 +2,8 @@
 /// fused BLAS-1 kernels against their unfused primitive sequences, blocked
 /// SpMV against the plain row loop, the vectorized compression hot loops
 /// against naive references, and (PR 10) the runtime-dispatched SIMD
-/// backends against the true-scalar reference backend, then emits
+/// backends against the true-scalar reference backend (including the
+/// dispatched CRC-32 kernel, reported in MB/s), then emits
 /// BENCH_kernels.json.
 ///
 /// CPU time (CLOCK_PROCESS_CPUTIME_ID) sums across threads, so the
@@ -423,6 +424,32 @@ int main(int argc, char** argv) {
     simd::reset_isa();
     isa_rows.push_back(row);
   }
+  // CRC-32 over an 8 MiB checkpoint-sized buffer: the table loop of the
+  // scalar backend against the dispatched kernel (the PCLMULQDQ fold on
+  // AVX2/AVX-512). Informational only.
+  const std::size_t crc_bytes = std::size_t{8} << 20;
+  double crc_scalar_mb_s = 0.0, crc_native_mb_s = 0.0;
+  {
+    Rng rng(30);
+    std::vector<byte_t> buf(crc_bytes);
+    for (auto& b : buf) b = static_cast<byte_t>(rng() & 0xff);
+    IsaRow row{"crc32"};
+    std::tie(row.cpu_native, row.cpu_scalar) = time_interleaved(
+        [&] {
+          simd::force_isa(active);
+          sink(static_cast<double>(crc32(buf)));
+        },
+        [&] {
+          simd::force_isa(simd::Isa::kScalar);
+          sink(static_cast<double>(crc32(buf)));
+        },
+        reps, 5);
+    simd::reset_isa();
+    const double mb = static_cast<double>(crc_bytes) * reps / 1e6;
+    crc_scalar_mb_s = row.cpu_scalar > 0.0 ? mb / row.cpu_scalar : 0.0;
+    crc_native_mb_s = row.cpu_native > 0.0 ? mb / row.cpu_native : 0.0;
+    isa_rows.push_back(row);
+  }
 
   // --- Cross-ISA determinism: the contract the speed numbers rest on -------
   // A CG trajectory on a wide-row matrix (gather kernels + every fused
@@ -518,6 +545,8 @@ int main(int argc, char** argv) {
     isa_table.push_back({r.cpu_scalar, r.cpu_native, r.speedup()});
     json.scalar("speedup_" + r.name + "_simd", r.speedup());
   }
+  std::printf("crc32 over 8 MiB: %.1f MB/s CPU scalar, %.1f MB/s CPU %s\n",
+              crc_scalar_mb_s, crc_native_mb_s, simd::isa_name(active));
   std::printf("sz compress: %.1f MB/s CPU, trunc compress: %.1f MB/s CPU\n",
               sz_mb_s, trunc_mb_s);
   std::printf("all gated ratios within limits: %s\n", all_ok ? "yes" : "NO");
@@ -526,6 +555,8 @@ int main(int argc, char** argv) {
   json.scalar("reps", reps);
   json.scalar("sz_compress_mb_s", sz_mb_s);
   json.scalar("trunc_compress_mb_s", trunc_mb_s);
+  json.scalar("crc32_scalar_mb_s", crc_scalar_mb_s);
+  json.scalar("crc32_native_mb_s", crc_native_mb_s);
   json.scalar("all_ratios_ok", all_ok ? 1.0 : 0.0);
   json.text("simd_isa", simd::isa_name(active));
   json.scalar("simd_spmv_gate_applicable", simd_gate_applicable ? 1.0 : 0.0);

@@ -107,13 +107,18 @@ void FrameWriter::flush_frame() {
   std::span<const byte_t> payload = raw_;
   FrameStyle style = style_;
   if (style_ == FrameStyle::kLz4) {
-    comp_.resize(lz4_compress_bound(raw_.size()));
-    comp_.resize(lz4_compress_into(raw_, comp_));
-    payload = comp_;
+    // comp_ keeps its size between frames, so only the first frame pays
+    // for zero-filling the compress bound.
+    const std::size_t bound = lz4_compress_bound(raw_.size());
+    if (comp_.size() < bound) comp_.resize(bound);
+    payload = std::span<const byte_t>(comp_).first(
+        lz4_compress_into(raw_, comp_));
   } else if (style_ == FrameStyle::kDeflate) {
     comp_ = deflate_compress(raw_);
     payload = comp_;
   }
+  const std::size_t comp_bytes =
+      style_ == FrameStyle::kRaw ? 0 : payload.size();
   // Raw fallback whenever compression does not strictly win; the reader
   // relies on comp_len < raw_len holding for compressed frames.
   if (payload.size() >= raw_.size()) {
@@ -127,7 +132,7 @@ void FrameWriter::flush_frame() {
   store_u32(header + 9, crc32(payload));
   // The frame's raw bytes, its compressed image, and the pending write
   // buffer all coexist right now — this is the writer's high-water mark.
-  peak_ = std::max(peak_, raw_.size() + comp_.size() + wbuf_.size() +
+  peak_ = std::max(peak_, raw_.size() + comp_bytes + wbuf_.size() +
                               kFrameHeaderBytes);
   emit(header);
   emit(payload);
@@ -141,7 +146,6 @@ void FrameWriter::flush_frame() {
                               static_cast<double>(payload.size()));
   }
   raw_.clear();
-  comp_.clear();
 }
 
 void FrameWriter::emit(std::span<const byte_t> bytes) {
@@ -231,7 +235,7 @@ void FrameReader::next_frame() {
     throw corrupt_stream_error("frame stream: frame CRC mismatch");
   switch (style) {
     case FrameStyle::kRaw:
-      raw_.assign(comp_.begin(), comp_.end());
+      raw_.swap(comp_);  // the payload is the frame: no copy
       break;
     case FrameStyle::kLz4:
       raw_.resize(raw_len);

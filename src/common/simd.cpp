@@ -63,6 +63,9 @@ Isa parse_isa(const std::string& name) {
 
 Isa supported_isa() noexcept {
 #if defined(LCK_SIMD_X86) && (defined(__GNUC__) || defined(__clang__))
+  // The wide tiers' CRC-32 kernel needs PCLMULQDQ; no AVX2 CPU is known to
+  // lack it, but a VM may mask it, so the wide tiers require it explicitly.
+  if (!__builtin_cpu_supports("pclmul")) return Isa::kSse2;
   if (__builtin_cpu_supports("avx512f")) return Isa::kAvx512;
   if (__builtin_cpu_supports("avx2")) return Isa::kAvx2;
   return Isa::kSse2;  // x86-64 baseline

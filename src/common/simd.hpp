@@ -59,7 +59,8 @@ inline constexpr index_t kSimdRowMinNnz = 16;
 /// make_compressor's unknown-codec diagnostics.
 [[nodiscard]] Isa parse_isa(const std::string& name);
 
-/// Highest tier the running CPU supports (CPUID).
+/// Highest tier the running CPU supports (CPUID). AVX2 and AVX-512 also
+/// require PCLMULQDQ (their CRC-32 kernel); without it this returns SSE2.
 [[nodiscard]] Isa supported_isa() noexcept;
 
 /// Highest tier compiled into this binary (x86-64 builds carry all four;
@@ -162,6 +163,16 @@ struct KernelOps {
   /// match extender). Never reads past a+limit / b+limit.
   std::size_t (*match_len)(const byte_t* a, const byte_t* b,
                            std::size_t limit);
+  /// Fold n bytes into a running CRC-32 (IEEE 802.3, reflected) register —
+  /// the pre-inverted state Crc32 keeps, not the final value. Scalar and
+  /// SSE2 run the byte-table loop (the reference); AVX2 and AVX-512 fold
+  /// 64- then 16-byte blocks with PCLMULQDQ and finish with a Barrett
+  /// reduction (Gopal et al., "Fast CRC Computation for Generic Polynomials
+  /// Using PCLMULQDQ Instruction", Intel 2009), table-looping only the
+  /// sub-16-byte tail. Same polynomial arithmetic, so every backend returns
+  /// the same value.
+  std::uint32_t (*crc32_update)(std::uint32_t state, const byte_t* data,
+                                std::size_t n);
 
   // --- self test -----------------------------------------------------------
   /// Exercises this backend's pack ops against scalar arithmetic; returns

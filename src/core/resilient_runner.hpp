@@ -8,7 +8,8 @@
 /// Solver mathematics (iterations, residuals, compression losses) run for
 /// real; wall-clock time is accumulated on a virtual clock using the
 /// calibrated ClusterModel, so cluster-scale results (paper §5.4) are
-/// reproducible on one node. See DESIGN.md §5 for the rationale.
+/// reproducible on one node. See README "Scale model and substitutions"
+/// for the rationale.
 ///
 /// Checkpoint modes (ResilienceConfig::ckpt_mode):
 ///  - CkptMode::kSync — the paper's setting: the solver stops for the full

@@ -4,7 +4,9 @@
 /// one long row, unaligned dimensions), and the lane-canonical reduction
 /// contract — dot/norm/fused kernels and the fused SpMV+norm pass must be
 /// bit-identical across every ISA, every thread count, and sizes straddling
-/// the 16Ki reduction-block boundary.
+/// the 16Ki reduction-block boundary. The dispatched CRC-32 kernel is
+/// checked against a bit-serial reference on every tier, and framed
+/// checkpoint streams must be byte-identical under every dispatch choice.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +16,8 @@
 #include <string>
 #include <vector>
 
+#include "ckpt/frame_stream.hpp"
+#include "common/crc32.hpp"
 #include "common/rng.hpp"
 #include "common/simd.hpp"
 #include "compress/compressor.hpp"
@@ -472,6 +476,127 @@ TEST(CompressionKernels, MatchLenExactAtEveryChunkBoundary) {
         EXPECT_EQ(simd::ops_for(isa).match_len(a.data(), b.data(), limit),
                   want)
             << simd::isa_name(isa) << " p=" << p << " limit=" << limit;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// CRC-32: the PCLMULQDQ fold of the wide tiers against an independent
+// bit-at-a-time reference, across the 16- and 64-byte fold boundaries,
+// unaligned starts, and split updates.
+// ---------------------------------------------------------------------------
+
+/// Bit-serial reflected CRC-32 register update (no table): shares no code
+/// with any backend, so a wrong fold or a wrong table both show.
+std::uint32_t crc_reference(std::uint32_t state, const byte_t* p,
+                            std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    state ^= p[i];
+    for (int k = 0; k < 8; ++k)
+      state = (state & 1u) ? (0xedb88320u ^ (state >> 1)) : (state >> 1);
+  }
+  return state;
+}
+
+std::vector<byte_t> random_bytes(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<byte_t> v(n);
+  for (auto& b : v) b = static_cast<byte_t>(rng() & 0xff);
+  return v;
+}
+
+TEST(Crc32Kernel, EveryLengthAndOffsetMatchesReference) {
+  const auto buf = random_bytes(300 + 16, 81);
+  for (std::size_t off = 0; off < 16; ++off) {
+    for (std::size_t n = 0; n <= 300; ++n) {
+      const std::uint32_t want =
+          crc_reference(0xffffffffu, buf.data() + off, n);
+      for (const simd::Isa isa : runnable_isas())
+        ASSERT_EQ(simd::ops_for(isa).crc32_update(0xffffffffu,
+                                                  buf.data() + off, n),
+                  want)
+            << simd::isa_name(isa) << " off=" << off << " n=" << n;
+    }
+  }
+}
+
+TEST(Crc32Kernel, LargeOddLengthMatchesReference) {
+  const auto buf = random_bytes((std::size_t{1} << 20) + 13 + 1, 82);
+  for (const std::size_t off : {std::size_t{0}, std::size_t{1}}) {
+    const std::size_t n = (std::size_t{1} << 20) + 13;
+    const std::uint32_t want = crc_reference(0xffffffffu, buf.data() + off, n);
+    for (const simd::Isa isa : runnable_isas())
+      EXPECT_EQ(simd::ops_for(isa).crc32_update(0xffffffffu, buf.data() + off,
+                                                n),
+                want)
+          << simd::isa_name(isa) << " off=" << off;
+  }
+}
+
+TEST(Crc32Kernel, SplitUpdateEqualsOneShotAtEverySplitPoint) {
+  // The legacy CKPT writer CRCs a header and then the payload through one
+  // Crc32, so a running state must carry across calls on every tier.
+  IsaGuard guard;
+  const auto buf = random_bytes(200, 83);
+  const std::span<const byte_t> all(buf);
+  for (const simd::Isa isa : runnable_isas()) {
+    simd::force_isa(isa);
+    const std::uint32_t one_shot = crc32(all);
+    EXPECT_EQ(one_shot, crc_reference(0xffffffffu, buf.data(), buf.size()) ^
+                            0xffffffffu)
+        << simd::isa_name(isa);
+    for (std::size_t k = 0; k <= buf.size(); ++k) {
+      Crc32 c;
+      c.update(all.first(k));
+      c.update(all.subspan(k));
+      ASSERT_EQ(c.value(), one_shot) << simd::isa_name(isa) << " k=" << k;
+    }
+  }
+}
+
+TEST(Crc32Kernel, IeeeCheckValueOnEveryTier) {
+  IsaGuard guard;
+  const char* digits = "123456789";
+  const std::span<const byte_t> data(reinterpret_cast<const byte_t*>(digits),
+                                     9);
+  for (const simd::Isa isa : runnable_isas()) {
+    EXPECT_EQ(simd::ops_for(isa).crc32_update(0xffffffffu, data.data(),
+                                              data.size()) ^
+                  0xffffffffu,
+              0xcbf43926u)
+        << simd::isa_name(isa);
+    simd::force_isa(isa);
+    EXPECT_EQ(crc32(data), 0xcbf43926u) << simd::isa_name(isa);
+  }
+}
+
+TEST(Crc32Kernel, FrameStreamBytesIdenticalAcrossDispatch) {
+  // Frame CRCs and the frame codecs' hot loops all dispatch; the stored
+  // bytes must not depend on the ISA. Mixed content makes lz4/deflate
+  // frames both compress and fall back to raw.
+  IsaGuard guard;
+  std::vector<byte_t> payload = random_bytes(5 * 4096 + 77, 84);
+  for (std::size_t i = 0; i < 2 * 4096; ++i)
+    payload[i] = static_cast<byte_t>(i / 64);
+  const auto encode = [&](const char* style) {
+    StreamingConfig cfg;
+    cfg.frame_elems = 512;
+    cfg.wbuf_bytes = 4096;
+    cfg.style = style;
+    std::vector<byte_t> stream;
+    VectorSink sink(stream);
+    FrameWriter w(sink, cfg);
+    w.put_string("x");
+    w.put_bytes(payload);
+    w.finish();
+    return stream;
+  };
+  for (const char* style : {"raw", "lz4", "deflate"}) {
+    simd::force_isa(simd::Isa::kScalar);
+    const auto ref = encode(style);
+    for (const simd::Isa isa : runnable_isas()) {
+      simd::force_isa(isa);
+      EXPECT_EQ(encode(style), ref) << style << " " << simd::isa_name(isa);
     }
   }
 }
